@@ -4,18 +4,12 @@
 //!   and condition-consistency checks shows how much precision the
 //!   quasi-path-sensitive design buys;
 //! * **PDG summary reuse** (§6.2.3): disabling the per-scope PDG cache
-//!   shows the cost of re-deriving summaries;
-//! * **path-result reuse**: disabling the per-scope feasible-path memo
-//!   makes every (spec, region) pair redo its path search and feasibility
-//!   pass, which is the seed-equivalent detection configuration.
+//!   shows the cost of re-deriving summaries.
 //!
-//! The search-phase optimizations each get a row as well (sink-cone
-//! pruning, UNSAT-prefix pruning, solver memoization); every one is
-//! output-identical by construction, so only the timing and counter
-//! columns move.
+//! Detection runs on `SEAL_JOBS` workers (capped at the host's cores).
 
 use seal_bench::{eval_config, print_table};
-use seal_core::{detect_bugs_with_stats, DetectConfig, Seal};
+use seal_core::{detect_bugs_with_stats_jobs_cached, AnalysisCache, DetectConfig, Seal};
 use seal_corpus::generate;
 use seal_corpus::ledger::score;
 use std::time::Instant;
@@ -24,6 +18,7 @@ fn main() {
     let corpus = generate(&eval_config());
     let target = corpus.target_module();
     let seal = Seal::default();
+    let jobs = seal_runtime::effective_jobs(seal_runtime::worker_count());
     let mut specs = Vec::new();
     for p in &corpus.patches {
         specs.extend(seal.infer(p).expect("corpus patches compile"));
@@ -46,44 +41,15 @@ fn main() {
                 ..DetectConfig::default()
             },
         ),
-        (
-            "no path-result reuse",
-            DetectConfig {
-                reuse_path_cache: false,
-                ..DetectConfig::default()
-            },
-        ),
-        (
-            "no spec dedup",
-            DetectConfig {
-                dedup_specs: false,
-                ..DetectConfig::default()
-            },
-        ),
-        (
-            "no sink-cone pruning",
-            DetectConfig {
-                prune_unreachable: false,
-                ..DetectConfig::default()
-            },
-        ),
-        (
-            "no UNSAT-prefix pruning",
-            DetectConfig {
-                prune_unsat_prefixes: false,
-                ..DetectConfig::default()
-            },
-        ),
-        (
-            "no solver memo",
-            DetectConfig {
-                solver_memo: false,
-                ..DetectConfig::default()
-            },
-        ),
     ] {
         let t0 = Instant::now();
-        let (reports, stats) = detect_bugs_with_stats(&target, &specs, &cfg);
+        let (reports, stats) = detect_bugs_with_stats_jobs_cached(
+            &target,
+            &specs,
+            &cfg,
+            jobs,
+            &AnalysisCache::disabled(),
+        );
         let wall = t0.elapsed();
         let s = score(&reports, &corpus.ground_truth);
         rows.push(vec![
@@ -122,10 +88,6 @@ fn main() {
         "\nExpected shape: dropping path sensitivity floods false positives\n\
          (guarded siblings are no longer distinguishable from unguarded ones);\n\
          dropping summary reuse multiplies PDG construction time while leaving\n\
-         results identical; dropping path-result reuse multiplies path-search\n\
-         time the same way (both caches are pure time/space trades). The\n\
-         search-phase rows (sink-cone, UNSAT-prefix, solver memo) keep the\n\
-         report columns fixed by construction and only trade counter and\n\
-         timing values."
+         results identical (the cache is a pure time/space trade)."
     );
 }

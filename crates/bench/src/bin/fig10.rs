@@ -10,7 +10,7 @@ use seal_core::BugType;
 use std::collections::BTreeSet;
 
 fn main() {
-    let r = run_pipeline(&eval_config());
+    let r = run_pipeline(&eval_config(), seal_runtime::worker_count());
     let target = r.corpus.target_module();
 
     // APHP: mine tuples from the same patch set, then detect.

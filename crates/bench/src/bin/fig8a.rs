@@ -7,7 +7,7 @@ use seal_bench::{eval_config, print_table, run_pipeline};
 use seal_corpus::age::band;
 
 fn main() {
-    let r = run_pipeline(&eval_config());
+    let r = run_pipeline(&eval_config(), seal_runtime::worker_count());
     let ages: Vec<u32> = r.score.true_positives.iter().map(|(_, _, y)| *y).collect();
     let total = ages.len().max(1);
 

@@ -5,7 +5,7 @@ use seal_bench::{eval_config, print_table, run_pipeline};
 use std::collections::BTreeMap;
 
 fn main() {
-    let r = run_pipeline(&eval_config());
+    let r = run_pipeline(&eval_config(), seal_runtime::worker_count());
 
     // Violations per specification: count reports citing each spec's
     // constraints (origin-independent identity).

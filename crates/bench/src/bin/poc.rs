@@ -49,7 +49,7 @@ fn entry_args(template: &str) -> Option<(Vec<Arg>, FaultPlan)> {
 }
 
 fn main() {
-    let r = run_pipeline(&eval_config());
+    let r = run_pipeline(&eval_config(), seal_runtime::worker_count());
     let module = r.corpus.target_module();
 
     let mut confirmed: BTreeMap<&'static str, usize> = BTreeMap::new();

@@ -3,7 +3,7 @@
 use seal_bench::{eval_config, print_table, run_pipeline};
 
 fn main() {
-    let r = run_pipeline(&eval_config());
+    let r = run_pipeline(&eval_config(), seal_runtime::worker_count());
     let tp = r.score.true_positives.len();
     let fp = r.score.false_positives.len();
     let reports = tp + fp;

@@ -6,7 +6,7 @@ use seal_bench::{eval_config, print_table, provenance_counts, run_pipeline};
 use seal_spec::Provenance;
 
 fn main() {
-    let r = run_pipeline(&eval_config());
+    let r = run_pipeline(&eval_config(), seal_runtime::worker_count());
     let counts = provenance_counts(&r.specs);
     let total: usize = counts.iter().map(|(_, n)| n).sum();
 

@@ -7,7 +7,7 @@ use seal_corpus::ledger::score;
 use std::collections::BTreeSet;
 
 fn main() {
-    let r = run_pipeline(&eval_config());
+    let r = run_pipeline(&eval_config(), seal_runtime::worker_count());
     let target = r.corpus.target_module();
 
     // APHP on the same patch set.

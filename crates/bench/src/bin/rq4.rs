@@ -5,7 +5,7 @@ use seal_bench::{eval_config, print_table, run_pipeline};
 
 fn main() {
     let jobs = seal_runtime::worker_count();
-    let r = run_pipeline(&eval_config());
+    let r = run_pipeline(&eval_config(), seal_runtime::worker_count());
     let n_patches = r.corpus.patches.len().max(1);
     let per_patch = r.infer_time / n_patches as u32;
 

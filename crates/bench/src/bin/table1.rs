@@ -8,7 +8,7 @@
 use seal_bench::{eval_config, print_table, run_pipeline, simulated_status};
 
 fn main() {
-    let r = run_pipeline(&eval_config());
+    let r = run_pipeline(&eval_config(), seal_runtime::worker_count());
     println!("Table 1: bug samples found by SEAL (synthetic-corpus reproduction)\n");
     let mut rows = Vec::new();
     for (func, ty, _) in r.score.true_positives.iter().take(45) {

@@ -8,7 +8,7 @@ use seal_bench::{eval_config, print_table, run_pipeline};
 use seal_core::BugType;
 
 fn main() {
-    let r = run_pipeline(&eval_config());
+    let r = run_pipeline(&eval_config(), seal_runtime::worker_count());
     let total = r.score.true_positives.len().max(1);
 
     let classes: [(BugType, f64, &str, &str); 7] = [

@@ -44,13 +44,9 @@ pub struct PipelineResult {
     pub detect_stats: DetectStats,
 }
 
-/// Runs the full SEAL pipeline on a corpus configuration, with the worker
-/// count taken from `SEAL_JOBS` (default: available parallelism).
-pub fn run_pipeline(config: &CorpusConfig) -> PipelineResult {
-    run_pipeline_with_jobs(config, seal_runtime::worker_count())
-}
-
-/// Runs the full SEAL pipeline with an explicit worker count.
+/// Runs the full SEAL pipeline on a corpus configuration with an explicit
+/// worker count (the experiment binaries pass
+/// [`seal_runtime::worker_count`], i.e. `SEAL_JOBS`).
 ///
 /// Each patch compiles and diffs independently on the work-stealing pool;
 /// per-patch results come back in patch-index order, so the merged spec
@@ -61,24 +57,13 @@ pub fn run_pipeline(config: &CorpusConfig) -> PipelineResult {
 /// ([`seal_runtime::effective_jobs`]): the pipeline is CPU-bound, so
 /// extra threads beyond the cores only add scheduling overhead, and the
 /// determinism contract makes the cap invisible in the output.
-pub fn run_pipeline_with_jobs(config: &CorpusConfig, jobs: usize) -> PipelineResult {
-    run_pipeline_with_jobs_cached(config, jobs, &AnalysisCache::disabled())
-}
-
-/// [`run_pipeline_with_jobs`] with an artifact cache attached to every
-/// stage (spec inference and detection shards). With a disabled cache this
-/// is exactly the uncached pipeline.
-pub fn run_pipeline_with_jobs_cached(
-    config: &CorpusConfig,
-    jobs: usize,
-    cache: &AnalysisCache,
-) -> PipelineResult {
+pub fn run_pipeline(config: &CorpusConfig, jobs: usize) -> PipelineResult {
     let corpus = {
         let _span = seal_obs::span!("pipeline.generate", seed = config.seed);
         generate(config)
     };
     let target = corpus.target_module();
-    let parts = run_parts(&corpus, &target, jobs, cache);
+    let parts = run_parts(&corpus, &target, jobs, &AnalysisCache::disabled());
     PipelineResult {
         corpus,
         specs: parts.specs,
@@ -128,17 +113,13 @@ pub fn run_parts(
 
     let t0 = Instant::now();
     let infer_span = seal_obs::span!("pipeline.infer", patches = corpus.patches.len());
-    let per_patch: Vec<(String, Vec<Specification>)> =
-        seal_runtime::par_map_jobs(jobs, &corpus.patches, |patch| {
-            let _span = seal_obs::task_span!("infer.patch", id = patch.id.clone());
-            let s = seal.infer(patch).expect("corpus patches compile");
-            (patch.id.clone(), s)
-        });
+    let per_patch = seal_core::infer_batch(&seal, &corpus.patches, jobs);
     drop(infer_span);
     let mut specs = Vec::new();
     let mut per_patch_specs = Vec::new();
-    for (id, s) in per_patch {
-        per_patch_specs.push((id, s.len()));
+    for (patch, s) in corpus.patches.iter().zip(per_patch) {
+        let s = s.expect("corpus patches compile");
+        per_patch_specs.push((patch.id.clone(), s.len()));
         specs.extend(s);
     }
     let infer_time = t0.elapsed();
@@ -184,10 +165,7 @@ pub fn provenance_counts(specs: &[Specification]) -> [(Provenance, usize); 4] {
 /// paper's 167 found / 95 confirmed / 56 fixed-by-our-patches ledger
 /// (Table 1's S/C/A column). Deterministic per function name.
 pub fn simulated_status(function: &str) -> &'static str {
-    let h: u64 = function.bytes().fold(0xcbf29ce484222325u64, |acc, b| {
-        (acc ^ b as u64).wrapping_mul(0x100000001b3)
-    });
-    match h % 167 {
+    match seal_store::fnv64(function.as_bytes()) % 167 {
         0..=55 => "A",  // 56 applied
         56..=94 => "C", // 39 confirmed-only
         _ => "S",       // 72 submitted
@@ -243,7 +221,7 @@ mod tests {
 
     #[test]
     fn pipeline_produces_scored_results() {
-        let r = run_pipeline(&tiny());
+        let r = run_pipeline(&tiny(), 2);
         assert!(!r.specs.is_empty());
         assert!(!r.reports.is_empty());
         assert!(r.score.recall() > 0.5);
@@ -252,7 +230,7 @@ mod tests {
 
     #[test]
     fn provenance_counts_sum_to_total() {
-        let r = run_pipeline(&tiny());
+        let r = run_pipeline(&tiny(), 2);
         let total: usize = provenance_counts(&r.specs).iter().map(|(_, n)| n).sum();
         assert_eq!(total, r.specs.len());
     }

@@ -1,7 +1,7 @@
 //! Worker-count independence: the pipeline must produce byte-identical
 //! specifications, reports, and scores for any number of workers.
 
-use seal_bench::{run_pipeline_with_jobs, PipelineResult};
+use seal_bench::{run_pipeline, PipelineResult};
 use seal_corpus::CorpusConfig;
 use seal_spec::parse::to_line;
 
@@ -46,8 +46,8 @@ fn render(r: &PipelineResult) -> String {
 #[test]
 fn one_vs_four_workers_byte_identical() {
     let cfg = config();
-    let seq = run_pipeline_with_jobs(&cfg, 1);
-    let par = run_pipeline_with_jobs(&cfg, 4);
+    let seq = run_pipeline(&cfg, 1);
+    let par = run_pipeline(&cfg, 4);
     assert!(
         !seq.specs.is_empty(),
         "config too small to exercise inference"
@@ -62,44 +62,9 @@ fn one_vs_four_workers_byte_identical() {
 #[test]
 fn oversubscribed_pool_is_still_deterministic() {
     let cfg = config();
-    let seq = run_pipeline_with_jobs(&cfg, 1);
+    let seq = run_pipeline(&cfg, 1);
     // More workers than shards/patches: workers must idle without
     // perturbing merge order.
-    let par = run_pipeline_with_jobs(&cfg, 17);
+    let par = run_pipeline(&cfg, 17);
     assert_eq!(render(&seq), render(&par));
-}
-
-#[test]
-fn path_cache_ablation_changes_time_not_output() {
-    use seal_core::{detect_bugs_with_stats_jobs, DetectConfig, Seal};
-
-    let cfg = config();
-    let corpus = seal_corpus::generate(&cfg);
-    let target = corpus.target_module();
-    let seal = Seal::default();
-    let mut specs = Vec::new();
-    for patch in &corpus.patches {
-        specs.extend(seal.infer(patch).expect("corpus patches compile"));
-    }
-    let cached = detect_bugs_with_stats_jobs(&target, &specs, &seal.detect, 2);
-    let uncached_cfg = DetectConfig {
-        reuse_path_cache: false,
-        ..seal.detect
-    };
-    let uncached = detect_bugs_with_stats_jobs(&target, &specs, &uncached_cfg, 2);
-    let show =
-        |rs: &[seal_core::BugReport]| rs.iter().map(|r| format!("{r}\n")).collect::<String>();
-    assert_eq!(show(&cached.0), show(&uncached.0));
-    assert_eq!(cached.1.regions, uncached.1.regions);
-    assert_eq!(cached.1.skipped, uncached.1.skipped);
-
-    // Spec-identity memoization skips work (regions examined shrinks) but
-    // must leave the surviving report list byte-identical.
-    let nodedup_cfg = DetectConfig {
-        dedup_specs: false,
-        ..seal.detect
-    };
-    let nodedup = detect_bugs_with_stats_jobs(&target, &specs, &nodedup_cfg, 2);
-    assert_eq!(show(&cached.0), show(&nodedup.0));
-    assert!(cached.1.regions <= nodedup.1.regions);
 }

@@ -1,26 +1,22 @@
-//! Output-identity of the search-phase optimizations (PR 3), on randomly
-//! generated corpora:
+//! Oracle checks of the search-phase optimizations against the plain
+//! algorithms they replace, on randomly generated corpora:
 //!
-//! * the pruned + interned pipeline yields byte-identical reports to the
-//!   naive configuration, for every individual toggle and all together;
-//! * at the slice level, the pruned enumeration produces *exactly* the
-//!   naive feasible path set (full mode) and preserves every
-//!   match-capable path (cone mode);
-//! * signature interning does not change inferred specifications.
+//! * the pruned enumeration produces *exactly* the naive feasible path set
+//!   (naive `forward_paths` filtered by `is_sat`) in full mode and
+//!   preserves every match-capable path in cone mode;
+//! * interned path signatures (`SigInterner`) equal the rendered
+//!   `ValueFlowPath::signature` strings.
 
-use seal_core::{detect_bugs_with_stats_jobs, DetectConfig, DiffConfig, Seal};
 use seal_corpus::CorpusConfig;
 use seal_ir::callgraph::CallGraph;
 use seal_ir::ids::FuncId;
 use seal_pdg::cond::CondCtx;
 use seal_pdg::graph::{NodeId, Pdg};
 use seal_pdg::slice::{
-    forward_paths, forward_paths_pruned, is_source, SinkReach, SliceConfig, SliceStats,
-    ValueFlowPath,
+    forward_paths, forward_paths_pruned, is_source, SigInterner, SinkReach, SliceConfig,
+    SliceStats, ValueFlowPath,
 };
 use seal_solver::IncrementalTheory;
-use seal_spec::parse::to_line;
-use seal_spec::Specification;
 use std::collections::BTreeSet;
 
 fn small(seed: u64) -> CorpusConfig {
@@ -34,138 +30,8 @@ fn small(seed: u64) -> CorpusConfig {
     }
 }
 
-/// The seed-equivalent search configuration: every PR 3 optimization off.
-fn naive_cfg() -> DetectConfig {
-    DetectConfig {
-        prune_unreachable: false,
-        prune_unsat_prefixes: false,
-        solver_memo: false,
-        ..DetectConfig::default()
-    }
-}
-
-fn infer_all(corpus: &seal_corpus::Corpus, seal: &Seal) -> Vec<Specification> {
-    let mut specs = Vec::new();
-    for p in &corpus.patches {
-        specs.extend(seal.infer(p).expect("corpus patches compile"));
-    }
-    specs
-}
-
 #[test]
-fn reports_identical_across_every_optimization_toggle() {
-    for seed in [0xA11CEu64, 0xB0B, 0xCAFE] {
-        let corpus = seal_corpus::generate(&small(seed));
-        let target = corpus.target_module();
-        let specs = infer_all(&corpus, &Seal::default());
-        let render = |cfg: &DetectConfig| {
-            let (reports, _) = detect_bugs_with_stats_jobs(&target, &specs, cfg, 1);
-            reports.iter().map(|r| format!("{r}\n")).collect::<String>()
-        };
-        let all_on = render(&DetectConfig::default());
-        assert_eq!(
-            all_on,
-            render(&naive_cfg()),
-            "all-off vs all-on differ (seed {seed:#x})"
-        );
-        let singles = [
-            DetectConfig {
-                prune_unreachable: false,
-                ..DetectConfig::default()
-            },
-            DetectConfig {
-                prune_unsat_prefixes: false,
-                ..DetectConfig::default()
-            },
-            DetectConfig {
-                solver_memo: false,
-                ..DetectConfig::default()
-            },
-        ];
-        for (i, cfg) in singles.iter().enumerate() {
-            assert_eq!(all_on, render(cfg), "toggle {i} differs (seed {seed:#x})");
-        }
-    }
-}
-
-/// The memory/contention optimizations — shard-local solver interning
-/// (seeded from the spec-condition snapshot) and arena-backed PDG
-/// adjacency — must be invisible in the output: byte-identical reports
-/// and identical deterministic counters vs the shared-path configuration,
-/// at every worker count in the bench matrix.
-#[test]
-fn shard_local_interning_and_arena_pdg_are_output_invisible() {
-    for seed in [0xA11CEu64, 0xBEEF] {
-        let corpus = seal_corpus::generate(&small(seed));
-        let target = corpus.target_module();
-        let specs = infer_all(&corpus, &Seal::default());
-        let render = |cfg: &DetectConfig, jobs: usize| {
-            let (reports, stats) = detect_bugs_with_stats_jobs(&target, &specs, cfg, jobs);
-            let mut out: String = reports.iter().map(|r| format!("{r}\n")).collect();
-            out.push_str(&format!(
-                "regions={} skipped={} solver_queries={} solver_cache_hits={} \
-                 subtrees_pruned={} sources_skipped_unreachable={}",
-                stats.regions,
-                stats.skipped,
-                stats.solver_queries,
-                stats.solver_cache_hits,
-                stats.subtrees_pruned,
-                stats.sources_skipped_unreachable,
-            ));
-            out
-        };
-        let reference = render(&DetectConfig::default(), 1);
-        assert!(!reference.is_empty());
-        let variants = [
-            DetectConfig {
-                shard_local_interner: false,
-                ..DetectConfig::default()
-            },
-            DetectConfig {
-                arena_pdg: false,
-                ..DetectConfig::default()
-            },
-            DetectConfig {
-                shard_local_interner: false,
-                arena_pdg: false,
-                ..DetectConfig::default()
-            },
-            DetectConfig::default(),
-        ];
-        for (i, cfg) in variants.iter().enumerate() {
-            for jobs in [1usize, 2, 4, 8] {
-                assert_eq!(
-                    reference,
-                    render(cfg, jobs),
-                    "variant {i} jobs {jobs} (seed {seed:#x})"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn interned_signatures_do_not_change_inference() {
-    for seed in [0xA11CEu64, 0xB0B] {
-        let corpus = seal_corpus::generate(&small(seed));
-        let interned = Seal::default();
-        let naive = Seal {
-            diff: DiffConfig {
-                intern_signatures: false,
-                ..DiffConfig::default()
-            },
-            ..Seal::default()
-        };
-        for p in &corpus.patches {
-            let a: Vec<String> = interned.infer(p).unwrap().iter().map(to_line).collect();
-            let b: Vec<String> = naive.infer(p).unwrap().iter().map(to_line).collect();
-            assert_eq!(a, b, "patch {} (seed {seed:#x})", p.id);
-        }
-    }
-}
-
-#[test]
-fn pruned_enumeration_equals_naive_on_random_modules() {
+fn pruned_enumeration_and_interned_signatures_equal_naive_on_random_modules() {
     // Large budget so the identity claim is not confounded by `max_paths`
     // truncation (sources that still hit it are skipped explicitly).
     let cfg = SliceConfig {
@@ -195,12 +61,20 @@ fn pruned_enumeration_equals_naive_on_random_modules() {
         }
 
         let reach = SinkReach::build(&pdg);
+        let mut sigs = SigInterner::new();
         let mut theory = IncrementalTheory::new();
         let mut stats = SliceStats::default();
         let mut checked = 0usize;
         for n in (0..pdg.len() as NodeId).filter(|&n| is_source(&pdg, n)) {
             let mut cctx = CondCtx::new(&pdg);
             let naive_raw = forward_paths(&pdg, &mut cctx, n, cfg);
+            for p in &naive_raw {
+                assert_eq!(
+                    sigs.path_symbol(&pdg, p).as_str(),
+                    p.signature(&pdg),
+                    "signature, source {n} (seed {seed})"
+                );
+            }
             if naive_raw.len() >= cfg.max_paths {
                 continue; // budget-bound: identity only holds below it
             }

@@ -24,25 +24,10 @@ use seal_spec::{SpecUse, SpecValue};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Budgets for the differencing stage.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct DiffConfig {
     /// Path-enumeration budgets.
     pub slice: SliceConfig,
-    /// Build path signatures from per-node interned symbols (each node
-    /// rendered once per PDG) instead of re-rendering every node for every
-    /// path. The resulting [`Symbol`] is the interned form of exactly the
-    /// naive string, so grouping and matching are byte-identical; disable
-    /// for ablation.
-    pub intern_signatures: bool,
-}
-
-impl Default for DiffConfig {
-    fn default() -> Self {
-        DiffConfig {
-            slice: SliceConfig::default(),
-            intern_signatures: true,
-        }
-    }
 }
 
 /// A version-independent snapshot of one value-flow path, carrying
@@ -174,7 +159,10 @@ pub fn collect_paths(
     let changed_ids: BTreeSet<FuncId> = changed.iter().filter_map(|n| module.func_id(n)).collect();
 
     let mut out = Vec::new();
-    let mut sigs = cfg.intern_signatures.then(SigInterner::new);
+    // Path signatures come from per-node interned symbols (each node
+    // rendered once per PDG), the interned form of exactly
+    // `ValueFlowPath::signature`.
+    let mut sigs = SigInterner::new();
     for n in 0..pdg.nodes.len() as NodeId {
         if !is_source(&pdg, n) {
             continue;
@@ -214,7 +202,7 @@ fn patch_scope(module: &Module, cg: &CallGraph, changed: &BTreeSet<String>) -> B
 fn abstract_path(
     pdg: &Pdg<'_>,
     path: &seal_pdg::slice::ValueFlowPath,
-    sigs: &mut Option<SigInterner>,
+    sigs: &mut SigInterner,
 ) -> Option<AbstractPath> {
     let value = roles::source_value(pdg, path)?;
     let (use_, ret_func) = roles::sink_use(pdg, path)?;
@@ -228,10 +216,7 @@ fn abstract_path(
         .omega(path.sink())
         .map(|o| (pdg.module.body(o.func).name.clone(), o.block, o.idx));
     let lines = path.nodes.iter().map(|&n| pdg.line_of(n)).collect();
-    let sig = match sigs.as_mut() {
-        Some(si) => si.path_symbol(pdg, path),
-        None => Symbol::intern(&path.signature(pdg)),
-    };
+    let sig = sigs.path_symbol(pdg, path);
     Some(AbstractPath {
         sig,
         value,

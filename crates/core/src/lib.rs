@@ -46,8 +46,7 @@ pub mod warm;
 pub use batch::infer_batch;
 pub use cache::AnalysisCache;
 pub use detect::{
-    detect_bugs, detect_bugs_isolated, detect_bugs_with_stats, detect_bugs_with_stats_jobs,
-    DetectConfig, DetectStats,
+    detect_bugs_isolated_cached, detect_bugs_with_stats_jobs_cached, DetectConfig, DetectStats,
 };
 pub use diff::{ChangedPaths, DiffConfig};
 pub use error::{DetectError, SealError, Stage};

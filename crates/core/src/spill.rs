@@ -23,6 +23,7 @@
 use crate::error::SealError;
 use seal_ir::Module;
 use seal_spec::Specification;
+use seal_store::fnv64;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -33,17 +34,6 @@ const SPILL_MAGIC: &[u8; 8] = b"SEALSPL1";
 /// means the budget caps the peak instead of chasing it.
 const SPILL_HEADROOM_PCT: u64 = 80;
 
-/// FNV-1a 64-bit over a byte slice (matches the store's record-checksum
-/// construction; self-contained so spill files need no store handle).
-fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 fn store_err(path: &Path, message: impl Into<String>) -> SealError {
     SealError::Store(seal_store::StoreError {
         path: path.display().to_string(),
@@ -51,13 +41,14 @@ fn store_err(path: &Path, message: impl Into<String>) -> SealError {
     })
 }
 
-/// Current resident set size in KiB (`VmRSS` from `/proc/self/status`),
-/// or `None` when the platform has no procfs.
-pub fn rss_now_kb() -> Option<u64> {
+/// A KiB-valued field of `/proc/self/status` (`"VmRSS"` for the current
+/// resident set, `"VmHWM"` for its peak), or `None` when the platform has
+/// no procfs.
+pub fn proc_status_kb(field: &str) -> Option<u64> {
     let status = std::fs::read_to_string("/proc/self/status").ok()?;
     status
         .lines()
-        .find(|l| l.starts_with("VmRSS:"))
+        .find(|l| l.strip_prefix(field).is_some_and(|r| r.starts_with(':')))
         .and_then(|l| l.split_whitespace().nth(1))
         .and_then(|v| v.parse().ok())
 }
@@ -98,7 +89,7 @@ impl SpillBudget {
         match self.max_rss_kb {
             None => false,
             Some(0) => true,
-            Some(kb) => match rss_now_kb() {
+            Some(kb) => match proc_status_kb("VmRSS") {
                 Some(now) => now * 100 >= kb * SPILL_HEADROOM_PCT,
                 None => true,
             },
@@ -324,9 +315,11 @@ mod tests {
         assert!(SpillBudget::from_mb(Some(0)).should_spill());
         // A huge budget does not trip on a test process.
         assert!(!SpillBudget::from_mb(Some(1 << 20)).should_spill());
-        // rss_now_kb works on Linux CI (tolerate absence elsewhere).
+        // proc_status_kb works on Linux CI (tolerate absence elsewhere).
         if std::path::Path::new("/proc/self/status").exists() {
-            assert!(rss_now_kb().unwrap() > 0);
+            assert!(proc_status_kb("VmRSS").unwrap() > 0);
+            assert!(proc_status_kb("VmHWM").unwrap() > 0);
+            assert!(proc_status_kb("VmNoSuchField").is_none());
         }
     }
 }

@@ -362,7 +362,9 @@ fn write_span(r: &SpanRec, parent: u64, next_id: &mut u64, out: &mut String) {
     }
 }
 
-pub(crate) fn escape_into(s: &str, out: &mut String) {
+/// Appends `s` escaped for embedding in a JSON string literal (quotes
+/// excluded) — the one JSON string escaper of the workspace.
+pub fn escape_into(s: &str, out: &mut String) {
     for ch in s.chars() {
         match ch {
             '"' => out.push_str("\\\""),

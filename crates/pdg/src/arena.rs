@@ -1,8 +1,8 @@
 //! Pooled, wholesale-freed storage for PDG adjacency.
 //!
-//! The legacy representation keeps one `Vec<NodeId>` per node per
-//! direction — thousands of small allocations per demand-built PDG, made
-//! and torn down once per detection shard. Under parallel detection every
+//! One `Vec<NodeId>` per node per direction would mean thousands of small
+//! allocations per demand-built PDG, made and torn down once per detection
+//! shard. Under parallel detection every
 //! worker hammers the global allocator with them at the same time, which
 //! is a large share of the multi-worker `pdg_ms` blow-up the bench matrix
 //! measures.
@@ -15,9 +15,8 @@
 //!
 //! Determinism: the scatter is stable, so each node's successor (and
 //! predecessor) slice comes out in exactly the order the edges were
-//! inserted — byte-for-byte the order the per-node `Vec` push produced.
-//! Duplicate edges are dropped on insertion (first occurrence wins), the
-//! same first-wins rule as the legacy `contains` check.
+//! inserted. Duplicate edges are dropped on insertion (first occurrence
+//! wins).
 
 use crate::graph::NodeId;
 use std::collections::HashSet;

@@ -118,36 +118,17 @@ pub struct Omega {
 /// Sentinel in `ctrl_of` for nodes with no control dependences.
 const NO_CTRL: u32 = u32::MAX;
 
-/// Adjacency storage for a [`Pdg`].
+/// Data-dependence storage for a [`Pdg`].
 ///
-/// `PerNode` is the legacy layout: one vector per node per direction and
-/// the control-dependence list *cloned* into every node of a block — easy
-/// to mutate incrementally, but thousands of small allocations per build,
-/// which is what collapses multi-worker scaling under allocator pressure.
-///
-/// The pooled path accumulates edges in a single [`EdgeArena`] log during
-/// construction (`Log`) and finalizes once into two compressed-sparse-row
-/// tables (`Csr`) plus per-*block* control lists that nodes reference by
-/// id — a handful of large allocations, freed wholesale with the PDG.
-/// Row order equals legacy push order, so both layouts serve identical
-/// slices.
+/// Construction accumulates edges in a single [`EdgeArena`] log (`Log`)
+/// and finalizes once into two compressed-sparse-row tables (`Csr`) — a
+/// handful of large allocations, freed wholesale with the PDG, instead of
+/// one vector per node per direction. Thousands of small allocations per
+/// build are what collapse multi-worker scaling under allocator pressure.
+/// Rows keep first-insertion order, so adjacency slices are deterministic.
 enum Store {
-    PerNode {
-        data_succ: Vec<Vec<NodeId>>,
-        data_pred: Vec<Vec<NodeId>>,
-        ctrl: Vec<Vec<(NodeId, BranchEdge)>>,
-    },
-    Log {
-        edges: EdgeArena,
-        ctrl_of: Vec<u32>,
-        ctrl_lists: Vec<Vec<(NodeId, BranchEdge)>>,
-    },
-    Csr {
-        succ: Csr,
-        pred: Csr,
-        ctrl_of: Vec<u32>,
-        ctrl_lists: Vec<Vec<(NodeId, BranchEdge)>>,
-    },
+    Log(EdgeArena),
+    Csr { succ: Csr, pred: Csr },
 }
 
 /// The program dependence graph for a scope of functions.
@@ -160,6 +141,10 @@ pub struct Pdg<'m> {
     pub nodes: Vec<NodeKind>,
     index: HashMap<NodeKind, NodeId>,
     store: Store,
+    /// Per-node index into `ctrl_lists` (`NO_CTRL` for none). Each block's
+    /// control-dependence list is stored once and shared by its nodes.
+    ctrl_of: Vec<u32>,
+    ctrl_lists: Vec<Vec<(NodeId, BranchEdge)>>,
     omega: Vec<Option<Omega>>,
     /// Defining nodes for each (consumer node, local) pair, for condition
     /// symbolization.
@@ -209,17 +194,6 @@ impl<'m> Pdg<'m> {
         cg: &CallGraph,
         scope: &BTreeSet<FuncId>,
     ) -> Result<Self, PdgError> {
-        Self::try_build_opts(module, cg, scope, true)
-    }
-
-    /// [`Pdg::build_opts`] with the same scope validation as
-    /// [`Pdg::try_build`].
-    pub fn try_build_opts(
-        module: &'m Module,
-        cg: &CallGraph,
-        scope: &BTreeSet<FuncId>,
-        pooled: bool,
-    ) -> Result<Self, PdgError> {
         let functions = module.functions.len();
         for &fid in scope {
             if fid.index() >= functions {
@@ -229,45 +203,21 @@ impl<'m> Pdg<'m> {
                 });
             }
         }
-        Ok(Self::build_opts(module, cg, scope, pooled))
+        Ok(Self::build(module, cg, scope))
     }
 
     /// Builds the PDG for the given functions (and interprocedural edges
-    /// among them), with pooled arena/CSR adjacency storage.
+    /// among them).
     pub fn build(module: &'m Module, cg: &CallGraph, scope: &BTreeSet<FuncId>) -> Self {
-        Self::build_opts(module, cg, scope, true)
-    }
-
-    /// [`Pdg::build`] with an explicit storage choice: `pooled` selects the
-    /// arena-backed log + CSR layout, `false` the legacy per-node vectors.
-    /// Both serve identical adjacency (the equivalence suite holds them to
-    /// byte-identical downstream reports); the toggle exists for ablation.
-    pub fn build_opts(
-        module: &'m Module,
-        cg: &CallGraph,
-        scope: &BTreeSet<FuncId>,
-        pooled: bool,
-    ) -> Self {
         let _span = seal_obs::span!("pdg.build", funcs = scope.len());
-        let store = if pooled {
-            Store::Log {
-                edges: EdgeArena::new(),
-                ctrl_of: Vec::new(),
-                ctrl_lists: Vec::new(),
-            }
-        } else {
-            Store::PerNode {
-                data_succ: Vec::new(),
-                data_pred: Vec::new(),
-                ctrl: Vec::new(),
-            }
-        };
         let mut pdg = Pdg {
             module,
             scope: scope.clone(),
             nodes: Vec::new(),
             index: HashMap::new(),
-            store,
+            store: Store::Log(EdgeArena::new()),
+            ctrl_of: Vec::new(),
+            ctrl_lists: Vec::new(),
             omega: Vec::new(),
             op_defs: HashMap::new(),
             param_sites: HashMap::new(),
@@ -294,22 +244,12 @@ impl<'m> Pdg<'m> {
         pdg
     }
 
-    /// Scatters the edge log into CSR form. No-op for the legacy layout;
-    /// construction is over once this runs (`add_edge` would panic).
+    /// Scatters the edge log into CSR form; construction is over once
+    /// this runs (`add_edge` would panic).
     fn finalize_store(&mut self) {
-        if let Store::Log {
-            edges,
-            ctrl_of,
-            ctrl_lists,
-        } = &mut self.store
-        {
+        if let Store::Log(edges) = &mut self.store {
             let (succ, pred) = std::mem::take(edges).finalize(self.nodes.len());
-            self.store = Store::Csr {
-                succ,
-                pred,
-                ctrl_of: std::mem::take(ctrl_of),
-                ctrl_lists: std::mem::take(ctrl_lists),
-            };
+            self.store = Store::Csr { succ, pred };
         }
     }
 
@@ -328,76 +268,46 @@ impl<'m> Pdg<'m> {
     /// Data-dependence successors.
     pub fn data_succs(&self, n: NodeId) -> &[NodeId] {
         match &self.store {
-            Store::PerNode { data_succ, .. } => &data_succ[n as usize],
             Store::Csr { succ, .. } => succ.row(n),
             // Construction phases only consult `node()`/`op_defs`; reading
             // adjacency before `finalize_store` is a phase-order bug.
-            Store::Log { .. } => unreachable!("adjacency read before finalize"),
+            Store::Log(_) => unreachable!("adjacency read before finalize"),
         }
     }
 
     /// Data-dependence predecessors.
     pub fn data_preds(&self, n: NodeId) -> &[NodeId] {
         match &self.store {
-            Store::PerNode { data_pred, .. } => &data_pred[n as usize],
             Store::Csr { pred, .. } => pred.row(n),
-            Store::Log { .. } => unreachable!("adjacency read before finalize"),
+            Store::Log(_) => unreachable!("adjacency read before finalize"),
         }
     }
 
     /// Direct control dependences of a node.
     pub fn ctrl_deps(&self, n: NodeId) -> &[(NodeId, BranchEdge)] {
-        match &self.store {
-            Store::PerNode { ctrl, .. } => &ctrl[n as usize],
-            Store::Log {
-                ctrl_of,
-                ctrl_lists,
-                ..
-            }
-            | Store::Csr {
-                ctrl_of,
-                ctrl_lists,
-                ..
-            } => match ctrl_of[n as usize] {
-                NO_CTRL => &[],
-                id => &ctrl_lists[id as usize],
-            },
+        match self.ctrl_of[n as usize] {
+            NO_CTRL => &[],
+            id => &self.ctrl_lists[id as usize],
         }
     }
 
     /// Total edge count (`E_d` + `E_c`), for sizing/metrics. Control
-    /// dependences count per *node* in every layout (the pooled one shares
-    /// each block's list, but a shared list still stands for one edge set
-    /// per referencing node), so the metric is layout-invariant.
+    /// dependences count per *node* (a block's list is shared, but it
+    /// still stands for one edge set per referencing node).
     pub fn edge_count(&self) -> usize {
-        let ctrl_per_node = |ctrl_of: &[u32], ctrl_lists: &[Vec<(NodeId, BranchEdge)>]| {
-            ctrl_of
-                .iter()
-                .map(|&id| match id {
-                    NO_CTRL => 0,
-                    id => ctrl_lists[id as usize].len(),
-                })
-                .sum::<usize>()
+        let data = match &self.store {
+            Store::Log(edges) => edges.len(),
+            Store::Csr { succ, .. } => succ.entries(),
         };
-        match &self.store {
-            Store::PerNode {
-                data_succ, ctrl, ..
-            } => {
-                data_succ.iter().map(Vec::len).sum::<usize>()
-                    + ctrl.iter().map(Vec::len).sum::<usize>()
-            }
-            Store::Log {
-                edges,
-                ctrl_of,
-                ctrl_lists,
-            } => edges.len() + ctrl_per_node(ctrl_of, ctrl_lists),
-            Store::Csr {
-                succ,
-                ctrl_of,
-                ctrl_lists,
-                ..
-            } => succ.entries() + ctrl_per_node(ctrl_of, ctrl_lists),
-        }
+        let ctrl: usize = self
+            .ctrl_of
+            .iter()
+            .map(|&id| match id {
+                NO_CTRL => 0,
+                id => self.ctrl_lists[id as usize].len(),
+            })
+            .sum();
+        data + ctrl
     }
 
     /// Order stamp (absent for pseudo-nodes like globals).
@@ -659,19 +569,11 @@ impl<'m> Pdg<'m> {
         self.nodes.push(kind.clone());
         self.index.insert(kind, id);
         self.omega.push(None);
-        match &mut self.store {
-            Store::PerNode {
-                data_succ,
-                data_pred,
-                ctrl,
-            } => {
-                data_succ.push(Vec::new());
-                data_pred.push(Vec::new());
-                ctrl.push(Vec::new());
-            }
-            Store::Log { ctrl_of, .. } => ctrl_of.push(NO_CTRL),
-            Store::Csr { .. } => unreachable!("node interned after finalize"),
-        }
+        assert!(
+            matches!(self.store, Store::Log(_)),
+            "node interned after finalize"
+        );
+        self.ctrl_of.push(NO_CTRL);
         id
     }
 
@@ -680,17 +582,7 @@ impl<'m> Pdg<'m> {
             return;
         }
         match &mut self.store {
-            Store::PerNode {
-                data_succ,
-                data_pred,
-                ..
-            } => {
-                if !data_succ[from as usize].contains(&to) {
-                    data_succ[from as usize].push(to);
-                    data_pred[to as usize].push(from);
-                }
-            }
-            Store::Log { edges, .. } => {
+            Store::Log(edges) => {
                 edges.push(from, to);
             }
             Store::Csr { .. } => unreachable!("edge added after finalize"),
@@ -1056,36 +948,22 @@ impl<'m> Pdg<'m> {
                     .map(|n| (n, loc.block.index()))
             })
             .collect();
-        match &mut self.store {
-            Store::PerNode { ctrl, .. } => {
-                for (n, b) in node_blocks {
-                    ctrl[n as usize] = deps_per_block[b].clone();
+        // Each block's dependence list is stored once and shared by id;
+        // cloning it into every node of the block would dominate
+        // construction-time allocation.
+        let ids: Vec<u32> = deps_per_block
+            .into_iter()
+            .map(|deps| {
+                if deps.is_empty() {
+                    NO_CTRL
+                } else {
+                    self.ctrl_lists.push(deps);
+                    (self.ctrl_lists.len() - 1) as u32
                 }
-            }
-            Store::Log {
-                ctrl_of,
-                ctrl_lists,
-                ..
-            } => {
-                // Each block's dependence list is stored once and shared by
-                // id — the legacy layout clones it into every node of the
-                // block, which dominated construction-time allocation.
-                let ids: Vec<u32> = deps_per_block
-                    .into_iter()
-                    .map(|deps| {
-                        if deps.is_empty() {
-                            NO_CTRL
-                        } else {
-                            ctrl_lists.push(deps);
-                            (ctrl_lists.len() - 1) as u32
-                        }
-                    })
-                    .collect();
-                for (n, b) in node_blocks {
-                    ctrl_of[n as usize] = ids[b];
-                }
-            }
-            Store::Csr { .. } => unreachable!("control edges added after finalize"),
+            })
+            .collect();
+        for (n, b) in node_blocks {
+            self.ctrl_of[n as usize] = ids[b];
         }
     }
 
@@ -1410,34 +1288,6 @@ mod tests {
             .map(|&u| pdg.use_kind(p, u))
             .collect();
         assert!(uses.contains(&UseKind::FuncRet { func: "f".into() }));
-    }
-
-    #[test]
-    fn pooled_and_legacy_layouts_serve_identical_adjacency() {
-        let (m, cg) = build_all(
-            "int counter;\n\
-             void *dma_alloc_coherent(unsigned long n);\n\
-             void kfree(void *p);\n\
-             struct risc { int *cpu; };\n\
-             int helper(int x) { counter = x; return x + 1; }\n\
-             int f(struct risc *r, int d) {\n\
-               r->cpu = (int *)dma_alloc_coherent(64);\n\
-               if (r->cpu == NULL) return -12;\n\
-               int v = helper(d);\n\
-               if (v > 0) { kfree(r->cpu); }\n\
-               return *r->cpu / d;\n\
-             }",
-        );
-        let scope = full_scope(&m);
-        let pooled = Pdg::build_opts(&m, &cg, &scope, true);
-        let legacy = Pdg::build_opts(&m, &cg, &scope, false);
-        assert_eq!(pooled.nodes, legacy.nodes);
-        assert_eq!(pooled.edge_count(), legacy.edge_count());
-        for n in 0..pooled.len() as NodeId {
-            assert_eq!(pooled.data_succs(n), legacy.data_succs(n), "succs of {n}");
-            assert_eq!(pooled.data_preds(n), legacy.data_preds(n), "preds of {n}");
-            assert_eq!(pooled.ctrl_deps(n), legacy.ctrl_deps(n), "ctrl of {n}");
-        }
     }
 
     #[test]

@@ -1,11 +1,11 @@
 //! Input signatures for PDG construction.
 //!
-//! A demand-built PDG is a pure function of (a) the bodies of the functions
-//! in its scope, (b) the module environment those bodies reference (struct
+//! A demand-built PDG is a pure function of the bodies of the functions in
+//! its scope and the module environment those bodies reference (struct
 //! layouts for field offsets, globals, interface bindings for indirect-call
-//! resolution), and (c) the storage toggle. [`scope_sig`] folds exactly
-//! those inputs into one 128-bit key, so a cache entry derived from a PDG
-//! (a detection shard's results, say) is invalidated by editing any
+//! resolution). [`scope_sig`] folds exactly those inputs into one 128-bit
+//! key, so a cache entry derived from a PDG (a detection shard's results,
+//! say) is invalidated by editing any
 //! function in scope — and *only* by that: edits to functions outside the
 //! scope leave the signature unchanged, which is what makes incremental
 //! re-analysis proportional to the change set.
@@ -19,11 +19,10 @@ use std::collections::BTreeSet;
 /// Positional (spans included via `seal_ir::codec::body_hash`): PDG nodes
 /// carry line numbers into bug reports, so two scopes that differ only in
 /// line numbers must not share cached report bytes.
-pub fn scope_sig(module: &Module, scope: &BTreeSet<FuncId>, pooled: bool) -> ContentHash {
+pub fn scope_sig(module: &Module, scope: &BTreeSet<FuncId>) -> ContentHash {
     let mut h = Hasher128::new();
     h.update_str("pdg.scope.v1");
     h.update(seal_ir::codec::env_hash(module).as_bytes());
-    h.update_u8(pooled as u8);
     h.update_u64(scope.len() as u64);
     for &fid in scope {
         h.update_u32(fid.0);
@@ -58,7 +57,7 @@ mod tests {
         let m1 = module(TWO_FUNCS);
         let m2 = module(TWO_FUNCS);
         let s = scope_of(&m1, &["a"]);
-        assert_eq!(scope_sig(&m1, &s, true), scope_sig(&m2, &s, true));
+        assert_eq!(scope_sig(&m1, &s), scope_sig(&m2, &s));
     }
 
     #[test]
@@ -69,19 +68,18 @@ mod tests {
              int b(int x) { return x * 3; }\n",
         );
         let s = scope_of(&m1, &["a"]);
-        assert_eq!(scope_sig(&m1, &s, true), scope_sig(&m2, &s, true));
+        assert_eq!(scope_sig(&m1, &s), scope_sig(&m2, &s));
         // ...but a scope that contains the edited function changes.
         let sb = scope_of(&m1, &["a", "b"]);
-        assert_ne!(scope_sig(&m1, &sb, true), scope_sig(&m2, &sb, true));
+        assert_ne!(scope_sig(&m1, &sb), scope_sig(&m2, &sb));
     }
 
     #[test]
-    fn sig_sees_storage_toggle_and_environment() {
+    fn sig_sees_environment() {
         let m1 = module(TWO_FUNCS);
         let s = scope_of(&m1, &["a"]);
-        assert_ne!(scope_sig(&m1, &s, true), scope_sig(&m1, &s, false));
         let m2 = module(&format!("int g_extra = 7;\n{TWO_FUNCS}"));
-        assert_ne!(scope_sig(&m1, &s, true), scope_sig(&m2, &s, true));
+        assert_ne!(scope_sig(&m1, &s), scope_sig(&m2, &s));
     }
 
     #[test]
@@ -89,6 +87,6 @@ mod tests {
         let m = module(TWO_FUNCS);
         let mut s = BTreeSet::new();
         s.insert(FuncId(99));
-        let _ = scope_sig(&m, &s, true);
+        let _ = scope_sig(&m, &s);
     }
 }

@@ -70,7 +70,9 @@ fn interner() -> &'static Interner {
 }
 
 /// FNV-1a; cheap, stable, and independent of the std `RandomState` so the
-/// shard/slot of a string never varies across runs.
+/// shard/slot of a string never varies across runs. The same function as
+/// `seal_store::fnv64`, kept local because this crate sits below
+/// `seal-store` in the layering and takes no dependency on it.
 fn hash_of(s: &str) -> u64 {
     let mut h: u64 = 0xcbf29ce484222325;
     for b in s.bytes() {

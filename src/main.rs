@@ -768,7 +768,7 @@ fn scale_run(opts: &HashMap<String, String>) -> Result<Outcome, String> {
         out.gen_infer.as_secs_f64(),
         out.detect.as_secs_f64(),
         out.items_per_sec(),
-        seal::serve::rss_peak_kb(),
+        seal::core::spill::proc_status_kb("VmHWM").unwrap_or(0),
         out.spill.writes,
         out.spill.reads,
         out.spill.bytes_written,

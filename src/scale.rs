@@ -29,7 +29,10 @@
 //! (`tests/scale.rs`) and the bench `scale` section assert it end to end.
 
 use seal_core::spill::{SpillBudget, SpillDir, SpillHandle};
-use seal_core::{detect::DetectConfig, BugReport, DetectStats, Seal, SealError};
+use seal_core::{
+    detect_bugs_with_stats_jobs_cached, AnalysisCache, BugReport, DetectConfig, DetectStats, Seal,
+    SealError,
+};
 use seal_corpus::ledger::{score, Score, SeededBug};
 use seal_corpus::stream::{CorpusStream, StreamItem};
 use seal_corpus::{generate, CorpusConfig};
@@ -166,12 +169,7 @@ pub fn render_reports(reports: &[BugReport]) -> String {
 
 /// FNV-64 fingerprint of the rendered reports.
 pub fn reports_fingerprint(reports: &[BugReport]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in render_reports(reports).bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    seal_store::fnv64(render_reports(reports).as_bytes())
 }
 
 /// Where a chunk's compiled module lives between the two phases.
@@ -479,8 +477,13 @@ impl ScaleRun {
                     }
                 }
             };
-            let (reports, s) =
-                seal_core::detect::detect_bugs_with_stats_jobs(&module, &specs, &cfg, self.jobs);
+            let (reports, s) = detect_bugs_with_stats_jobs_cached(
+                &module,
+                &specs,
+                &cfg,
+                self.jobs,
+                &AnalysisCache::disabled(),
+            );
             for (pos, r) in reports.into_iter().enumerate() {
                 let si = spec_index.get(&r.spec).copied().unwrap_or(usize::MAX);
                 let name_key = r.spec.interface.is_some().then(|| r.function.clone());
@@ -536,17 +539,17 @@ fn run_materialized(opts: ScaleOptions) -> Result<ScaleOutcome, SealError> {
     let t0 = Instant::now();
     let corpus = generate(&opts.config);
     let target = corpus.target_module();
-    let per_patch = seal_runtime::par_map_jobs(jobs, &corpus.patches, |p| seal.infer(p));
-    let mut specs = Vec::new();
-    for s in per_patch {
-        specs.extend(s?);
-    }
+    let specs = infer_batch_ordered(&seal, jobs, &corpus.patches)?;
     let gen_infer = t0.elapsed();
 
     let t1 = Instant::now();
-    let cfg = scale_detect_config();
-    let (reports, stats) =
-        seal_core::detect::detect_bugs_with_stats_jobs(&target, &specs, &cfg, jobs);
+    let (reports, stats) = detect_bugs_with_stats_jobs_cached(
+        &target,
+        &specs,
+        &scale_detect_config(),
+        jobs,
+        &AnalysisCache::disabled(),
+    );
     Ok(ScaleOutcome {
         score: score(&reports, &corpus.ground_truth),
         stats,
@@ -581,16 +584,17 @@ fn compile_chunk(
     seal_ir::lower(&tu)
 }
 
-/// Infers a patch batch in parallel, keeping patch order (so the merged
-/// spec list is byte-identical to a sequential run).
+/// Infers a patch batch in parallel through [`seal_core::infer_batch`],
+/// concatenating in patch order (so the merged spec list is
+/// byte-identical to a sequential run). The first failed patch fails the
+/// batch.
 fn infer_batch_ordered(
     seal: &Seal,
     jobs: usize,
     batch: &[seal_core::Patch],
 ) -> Result<Vec<Specification>, SealError> {
-    let per_patch = seal_runtime::par_map_jobs(jobs, batch, |p| seal.infer(p));
     let mut specs = Vec::new();
-    for s in per_patch {
+    for s in seal_core::infer_batch(seal, batch, jobs) {
         specs.extend(s?);
     }
     Ok(specs)

@@ -606,22 +606,11 @@ fn stats_line(session: &Session, seq: u64) -> String {
          \"disk_entries\":{},\"pending_puts\":{}}}",
         s.hits, s.misses, s.bytes_read, s.invalidations, s.disk_entries, s.pending_puts
     ));
-    line.push_str(&format!(",\"rss_peak_kb\":{}}}", rss_peak_kb()));
+    line.push_str(&format!(
+        ",\"rss_peak_kb\":{}}}",
+        seal_core::spill::proc_status_kb("VmHWM").unwrap_or(0)
+    ));
     line
-}
-
-/// Peak resident set size in KiB from `/proc/self/status` (0 when the
-/// platform has no procfs).
-pub fn rss_peak_kb() -> u64 {
-    std::fs::read_to_string("/proc/self/status")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find(|l| l.starts_with("VmHWM:"))
-                .and_then(|l| l.split_whitespace().nth(1))
-                .and_then(|v| v.parse().ok())
-        })
-        .unwrap_or(0)
 }
 
 /// One bounded line read.
