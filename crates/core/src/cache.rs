@@ -75,7 +75,7 @@ pub fn detect_fingerprint(cfg: &DetectConfig) -> u64 {
 /// store); the [`Default`] value is a disabled cache, so `Seal::default()`
 /// behaves exactly as before the cache existed.
 ///
-/// `AnalysisCache` is `Send + Sync`: the store's maps are mutexed, its
+/// `AnalysisCache` is `Send + Sync`: the store's maps are behind locks, its
 /// flushes are serialized behind a dedicated flush lock, and the warm
 /// layer is internally sharded — one handle can be shared by every
 /// connection of a concurrent `seal serve` without external locking.

@@ -141,16 +141,25 @@ if misses != 0:
 print(f"warm-cache smoke: ok (hits={hits}, misses=0, reports identical)")
 EOF
 
-# Cache-corruption smoke: truncate and then scribble over the store file;
-# the pipeline must degrade to recompute — same reports, exit 0 or 2,
-# and no panic backtrace.
+# Cache-corruption smoke: flip one byte in the middle of the store file
+# (caught by that record's checksum when it is read), then truncate it,
+# then scribble over it; the pipeline must degrade to recompute — same
+# reports, exit 0 or 2, and no panic backtrace.
 STORE_FILE=$(find "$CACHE_DIR/store" -name '*.bin' | head -n 1)
 if [ -z "$STORE_FILE" ]; then
     echo "cache-corruption smoke: no store file written" >&2
     exit 1
 fi
-for CORRUPT in truncate scribble; do
-    if [ "$CORRUPT" = truncate ]; then
+for CORRUPT in flip truncate scribble; do
+    if [ "$CORRUPT" = flip ]; then
+        python3 - "$STORE_FILE" <<'EOF'
+import sys
+path = sys.argv[1]
+data = bytearray(open(path, "rb").read())
+data[len(data) // 2] ^= 0x01
+open(path, "wb").write(bytes(data))
+EOF
+    elif [ "$CORRUPT" = truncate ]; then
         head -c 37 "$STORE_FILE" >"$STORE_FILE.tmp" && mv "$STORE_FILE.tmp" "$STORE_FILE"
     else
         printf 'GARBAGE-NOT-A-STORE-%s' "$CORRUPT" >"$STORE_FILE"
@@ -177,7 +186,7 @@ for CORRUPT in truncate scribble; do
     fi
 done
 rm -rf "$CACHE_DIR"
-echo "cache-corruption smoke: ok (truncated + scribbled store both recompute)"
+echo "cache-corruption smoke: ok (flipped, truncated and scribbled stores all recompute)"
 
 # Serve smoke: a three-item batch with one poisoned item through the
 # daemon. Contract: one response line per item, per-item statuses (two ok,

@@ -449,6 +449,9 @@ fn stats(opts: &HashMap<String, String>) -> Result<Outcome, String> {
     if let Some(dir) = opts.get("cache-dir") {
         let cache = AnalysisCache::open(std::path::Path::new(dir), seal_store::CacheMode::ReadOnly)
             .map_err(|e| format!("cannot open cache: {e}"))?;
+        // Open reads record headers only; checksum every payload here so
+        // corruption in the middle of the file is counted too.
+        cache.store().verify();
         let s = cache.stats();
         let file = std::path::Path::new(dir).join(seal_store::STORE_FILE);
         let bytes = std::fs::metadata(&file).map(|m| m.len()).unwrap_or(0);

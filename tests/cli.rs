@@ -649,3 +649,67 @@ fn stats_cache_dir_alone_summarizes_the_store() {
     assert!(stdout.contains("disk_entries"), "stdout: {stdout}");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn stats_cache_dir_counts_a_corrupt_payload_in_the_middle_of_the_store() {
+    let dir = temp_dir("stats-flip");
+    let store = dir.join("store");
+    let data = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/data");
+    let hunt = Command::new(seal_bin())
+        .arg("hunt")
+        .arg("--pre")
+        .arg(data.join("npd-check.pre.c"))
+        .arg("--post")
+        .arg(data.join("npd-check.post.c"))
+        .arg("--target")
+        .arg(data.join("target.c"))
+        .arg("--cache-dir")
+        .arg(&store)
+        .output()
+        .unwrap();
+    assert!(matches!(hunt.status.code(), Some(0 | 2)), "{hunt:?}");
+    let stats = || {
+        let out = Command::new(seal_bin())
+            .arg("stats")
+            .arg("--cache-dir")
+            .arg(&store)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(0));
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        let line = stdout
+            .lines()
+            .find(|l| l.starts_with("scan_invalidations"))
+            .unwrap_or_else(|| panic!("stdout: {stdout}"));
+        line.split_whitespace()
+            .last()
+            .unwrap()
+            .parse::<u64>()
+            .unwrap()
+    };
+    assert_eq!(stats(), 0);
+
+    // Walk the record headers ([kind 1][key 16][len 4][sum 8]) after the
+    // 16-byte file header and flip the first payload byte of the middle
+    // non-empty record: the headers stay intact, only its checksum fails.
+    let file = store.join("seal-store.v1.bin");
+    let mut bytes = std::fs::read(&file).unwrap();
+    let mut payloads = Vec::new();
+    let mut pos = 16;
+    while pos < bytes.len() {
+        let len = u32::from_le_bytes(bytes[pos + 17..pos + 21].try_into().unwrap()) as usize;
+        if len > 0 {
+            payloads.push(pos + 29);
+        }
+        pos += 29 + len;
+    }
+    assert!(
+        payloads.len() >= 2,
+        "store too small: {} records",
+        payloads.len()
+    );
+    bytes[payloads[payloads.len() / 2]] ^= 0x01;
+    std::fs::write(&file, &bytes).unwrap();
+    assert!(stats() >= 1, "a corrupt payload went uncounted");
+    std::fs::remove_dir_all(&dir).ok();
+}
